@@ -28,7 +28,7 @@ than the tolerance (default 15%). Two artifact kinds are understood:
            failure regardless of tolerance — those are correctness
            invariants, not performance metrics.
 
-  graph    kernels-shaped artifact, but gated on the graph-fusion
+  graph    kernels-shaped artifact, but gated on the fused-graph
            speedup invariant instead of per-row drift: at every thread
            count carrying both rows, ns_per_iter of
            ddnet_forward_128_module divided by ddnet_forward_128_fused

@@ -11,11 +11,4 @@ std::string OpCounters::str() const {
   return os.str();
 }
 
-OpCounters& tls_counters() {
-  thread_local OpCounters counters;
-  return counters;
-}
-
-void reset_tls_counters() { tls_counters().reset(); }
-
 }  // namespace ccovid

@@ -2,10 +2,10 @@
 //
 // The paper obtains its global-memory load/store and floating-point
 // operation counts "by implementing counters in each kernel" (§5,
-// Table 6, footnote 2). We do the same: the instrumented kernel variants
-// in src/ops accumulate into a thread-local OpCounters that can be
-// collected into a global tally. The fast (non-instrumented) kernels
-// never touch these, so production inference pays nothing.
+// Table 6, footnote 2). Here the ops::count_* functions
+// (ops/instrumented.h) walk each kernel's index space analytically and
+// return an OpCounters tally; callers sum them with operator+=. No
+// kernel writes a counter at run time, so inference pays nothing.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +30,5 @@ struct OpCounters {
 
   std::string str() const;
 };
-
-/// Per-thread active counter used by instrumented kernels; never null.
-OpCounters& tls_counters();
-
-/// Zeroes the calling thread's counter.
-void reset_tls_counters();
 
 }  // namespace ccovid

@@ -59,6 +59,12 @@ Tensor remove_circular_fov_volume(const Tensor& volume_hu) {
     throw std::invalid_argument("remove_circular_fov: expected (D, H, W)");
   }
   const index_t d = volume_hu.dim(0), n = volume_hu.dim(1);
+  // The circular field of view is defined on square slices only.
+  if (volume_hu.dim(2) != n) {
+    throw std::invalid_argument(
+        "remove_circular_fov: expected square slices, got " +
+        volume_hu.shape().str());
+  }
   Tensor out(volume_hu.shape());
   for (index_t z = 0; z < d; ++z) {
     Tensor slice({n, n});

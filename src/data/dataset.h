@@ -64,6 +64,8 @@ bool passes_slice_count_filter(const Tensor& volume_hu,
                                index_t min_slices = 128);
 
 /// Applies remove_circular_fov_artifact to every slice of a volume.
+/// Throws std::invalid_argument unless the volume is (D, H, W) with
+/// H == W.
 Tensor remove_circular_fov_volume(const Tensor& volume_hu);
 
 }  // namespace ccovid::data

@@ -19,7 +19,7 @@ std::uint64_t payload_digest(const Message& m) {
 World::World(int world_size) : size_(world_size), bytes_(world_size) {
   if (world_size < 1) throw std::invalid_argument("World: size must be >= 1");
   channels_.resize(static_cast<std::size_t>(size_) * size_);
-  for (auto& c : channels_) c = std::make_unique<Channel>();
+  for (auto& c : channels_) c = std::make_unique<net::Channel>();
   for (auto& b : bytes_) b.store(0);
 }
 
@@ -27,13 +27,13 @@ void World::send(int from, int to, Message msg) {
   if (from < 0 || from >= size_ || to < 0 || to >= size_) {
     throw std::invalid_argument("World::send: bad rank");
   }
-  Channel& ch = channel(from, to);
+  net::Channel& ch = channel(from, to);
   if (!guard_.enabled && !fault::Registry::any_armed()) {
     ch.send(std::move(msg));  // bare fast path
     return;
   }
 
-  Packet p;
+  net::Packet p;
   p.payload = std::move(msg);
   p.seq = ch.allocate_seq();
   // Checksum BEFORE fault injection: a corruption models an on-the-wire
@@ -66,7 +66,7 @@ Message World::recv(int at, int from) {
   if (at < 0 || at >= size_ || from < 0 || from >= size_) {
     throw std::invalid_argument("World::recv: bad rank");
   }
-  Channel& ch = channel(from, at);
+  net::Channel& ch = channel(from, at);
   if (!guard_.enabled) return ch.recv();
 
   auto p = ch.recv_packet_for(guard_.recv_timeout_s);
@@ -77,12 +77,12 @@ Message World::recv(int at, int from) {
                         "s (sender dead, stalled, or message dropped)");
   }
   switch (ch.check_recv_seq(p->seq)) {
-    case Channel::SeqCheck::kOk:
+    case net::Channel::SeqCheck::kOk:
       break;
-    case Channel::SeqCheck::kDuplicate:
+    case net::Channel::SeqCheck::kDuplicate:
       throw CommError(CommError::Kind::kDuplicate, at, from,
                       "seq " + std::to_string(p->seq) + " seen again");
-    case Channel::SeqCheck::kOutOfOrder:
+    case net::Channel::SeqCheck::kOutOfOrder:
       throw CommError(CommError::Kind::kOutOfOrder, at, from,
                       "seq " + std::to_string(p->seq) +
                           " arrived ahead of an undelivered predecessor "
@@ -108,46 +108,6 @@ void World::barrier() {
   }
 }
 
-void World::all_reduce_sum(int rank, std::vector<real_t>& data) {
-  const int n = size_;
-  if (n == 1) return;
-  const index_t len = static_cast<index_t>(data.size());
-  // Chunk boundaries: chunk c covers [off[c], off[c+1]).
-  std::vector<index_t> off(static_cast<std::size_t>(n) + 1);
-  for (int c = 0; c <= n; ++c) {
-    off[c] = len * c / n;
-  }
-  const int next = (rank + 1) % n;
-  const int prev = (rank + n - 1) % n;
-  const auto chunk_of = [&](int c) {
-    return ((c % n) + n) % n;
-  };
-
-  // Phase 1 — reduce-scatter: after n-1 steps rank r holds the full sum
-  // of chunk (r+1) mod n.
-  for (int s = 0; s < n - 1; ++s) {
-    const int send_c = chunk_of(rank - s);
-    const int recv_c = chunk_of(rank - s - 1);
-    Message out(data.begin() + off[send_c], data.begin() + off[send_c + 1]);
-    bytes_[rank].fetch_add(out.size() * sizeof(real_t));
-    send(rank, next, std::move(out));
-    Message in = recv(rank, prev);
-    real_t* dst = data.data() + off[recv_c];
-    for (std::size_t i = 0; i < in.size(); ++i) dst[i] += in[i];
-  }
-  // Phase 2 — all-gather: circulate the reduced chunks.
-  for (int s = 0; s < n - 1; ++s) {
-    const int send_c = chunk_of(rank + 1 - s);
-    const int recv_c = chunk_of(rank - s);
-    Message out(data.begin() + off[send_c], data.begin() + off[send_c + 1]);
-    bytes_[rank].fetch_add(out.size() * sizeof(real_t));
-    send(rank, next, std::move(out));
-    Message in = recv(rank, prev);
-    real_t* dst = data.data() + off[recv_c];
-    for (std::size_t i = 0; i < in.size(); ++i) dst[i] = in[i];
-  }
-}
-
 void World::broadcast(int rank, int root, std::vector<real_t>& data) {
   if (size_ == 1) return;
   if (root < 0 || root >= size_) {
@@ -166,51 +126,6 @@ void World::broadcast(int rank, int root, std::vector<real_t>& data) {
       throw std::runtime_error("World::broadcast: length mismatch");
     }
     std::copy(in.begin(), in.end(), data.begin());
-  }
-}
-
-void World::reduce_sum(int rank, int root, std::vector<real_t>& data) {
-  if (size_ == 1) return;
-  if (root < 0 || root >= size_) {
-    throw std::invalid_argument("World::reduce_sum: bad root");
-  }
-  if (rank == root) {
-    for (int r = 0; r < size_; ++r) {
-      if (r == root) continue;
-      Message in = recv(rank, r);
-      if (in.size() != data.size()) {
-        throw std::runtime_error("World::reduce_sum: length mismatch");
-      }
-      for (std::size_t i = 0; i < in.size(); ++i) data[i] += in[i];
-    }
-  } else {
-    Message out(data.begin(), data.end());
-    bytes_[rank].fetch_add(out.size() * sizeof(real_t));
-    send(rank, root, std::move(out));
-  }
-}
-
-void World::all_gather(int rank, const std::vector<real_t>& data,
-                       std::vector<real_t>& out) {
-  const std::size_t len = data.size();
-  out.resize(len * static_cast<std::size_t>(size_));
-  std::copy(data.begin(), data.end(),
-            out.begin() + static_cast<std::ptrdiff_t>(len) * rank);
-  if (size_ == 1) return;
-  // Ring circulation: after size-1 steps every rank has every chunk.
-  const int next = (rank + 1) % size_;
-  const int prev = (rank + size_ - 1) % size_;
-  int have = rank;  // chunk most recently received / owned
-  for (int s = 0; s < size_ - 1; ++s) {
-    Message out_msg(out.begin() + static_cast<std::ptrdiff_t>(len) * have,
-                    out.begin() + static_cast<std::ptrdiff_t>(len) *
-                                      (have + 1));
-    bytes_[rank].fetch_add(out_msg.size() * sizeof(real_t));
-    send(rank, next, std::move(out_msg));
-    Message in = recv(rank, prev);
-    have = ((prev - s) % size_ + size_) % size_;
-    std::copy(in.begin(), in.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(len) * have);
   }
 }
 

@@ -1,9 +1,10 @@
 // In-process message-passing world: N ranks (threads) exchanging typed
-// float payloads over point-to-point channels, with barrier and ring
-// all-reduce collectives. This is the gloo/MPI stand-in used by the
-// distributed data-parallel trainer (§4.1): the semantics (cooperative
-// two-sided messaging, synchronous collectives) match, only the
-// transport is shared memory.
+// float payloads over point-to-point channels, with barrier and
+// broadcast. This is the gloo/MPI stand-in used by the distributed
+// data-parallel trainer (§4.1): the semantics (cooperative two-sided
+// messaging, synchronous collectives) match, only the transport is
+// shared memory. The all-reduce family layered on these channels lives
+// in dist/collective.h.
 #pragma once
 
 #include <atomic>
@@ -14,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "dist/channel.h"
+#include "net/channel.h"
 #include "net/error.h"
 
 namespace ccovid::dist {
@@ -27,6 +28,7 @@ namespace ccovid::dist {
 /// settable per tool via --recv-timeout.
 using GuardOptions = net::GuardOptions;
 using CommError = net::CommError;
+using Message = net::Message;
 
 class World {
  public:
@@ -41,33 +43,17 @@ class World {
   /// Blocks until all ranks arrive (reusable).
   void barrier();
 
-  /// Ring all-reduce (reduce-scatter + all-gather, Baidu-style): every
-  /// rank calls this with its local buffer; on return every buffer holds
-  /// the elementwise sum across ranks. Buffers must be the same length.
-  /// Tracks the total bytes a real interconnect would have moved per
-  /// rank (for the communication model).
-  void all_reduce_sum(int rank, std::vector<real_t>& data);
-
   /// Broadcast from `root`: every rank calls with a same-length buffer;
   /// on return all buffers equal the root's. Linear fan-out over the
   /// point-to-point channels (how DDP ships initial weights).
   void broadcast(int rank, int root, std::vector<real_t>& data);
-
-  /// Reduce-to-root: root's buffer receives the elementwise sum; other
-  /// ranks' buffers are unchanged.
-  void reduce_sum(int rank, int root, std::vector<real_t>& data);
-
-  /// All-gather: rank r contributes `data`; on return `out` holds the
-  /// world-ordered concatenation on every rank.
-  void all_gather(int rank, const std::vector<real_t>& data,
-                  std::vector<real_t>& out);
 
   /// Bytes sent per rank over all collectives so far.
   std::uint64_t bytes_sent(int rank) const;
 
   /// Byte-accounting hook for collectives layered on the point-to-point
   /// API (dist/collective.cpp): counts `bytes` against `rank`'s sent
-  /// total, exactly as the built-in collectives do internally.
+  /// total, exactly as broadcast() does internally.
   void note_sent(int rank, std::uint64_t bytes) {
     bytes_[static_cast<std::size_t>(rank)].fetch_add(bytes);
   }
@@ -79,14 +65,14 @@ class World {
   const GuardOptions& guard() const { return guard_; }
 
  private:
-  Channel& channel(int from, int to) {
+  net::Channel& channel(int from, int to) {
     return *channels_[static_cast<std::size_t>(from) * size_ + to];
   }
 
   GuardOptions guard_;
   int size_;
   // channels_[from * size + to]
-  std::vector<std::unique_ptr<Channel>> channels_;
+  std::vector<std::unique_ptr<net::Channel>> channels_;
   std::vector<std::atomic<std::uint64_t>> bytes_;
 
   std::mutex barrier_mu_;

@@ -25,10 +25,6 @@
 //  * activations keep the per-element expressions of simd relu /
 //    leaky_relu (scale_shift_act shares them verbatim).
 //
-// The closed-form weight fold is still provided (fold_batchnorm) for
-// the quantization work in ROADMAP item 4; it is tested to tolerance,
-// not bitwise, and the executor does not use it.
-//
 // Fusion legality: a batch-norm is absorbable only when its running
 // statistics are frozen — i.e. eval mode and NOT
 // set_batch_stats_always (instance-norm mode recomputes statistics per
@@ -49,29 +45,6 @@
 #include "ops/unpool2d.h"
 
 namespace ccovid::graph {
-
-// ------------------------------------------------------------- flag
-
-/// Global fusion switch, initialized once from CCOVID_GRAPH_FUSION
-/// (0/off/false disable; anything else — including unset — enables).
-/// The `--graph-fusion on|off` CLI flag maps here. When off, networks
-/// fall back to the op-by-op module interpreter.
-bool fusion_enabled();
-void set_fusion_enabled(bool on);
-
-/// RAII override of the fusion flag (tests compare on/off digests).
-class FusionGuard {
- public:
-  explicit FusionGuard(bool on) : prev_(fusion_enabled()) {
-    set_fusion_enabled(on);
-  }
-  ~FusionGuard() { set_fusion_enabled(prev_); }
-  FusionGuard(const FusionGuard&) = delete;
-  FusionGuard& operator=(const FusionGuard&) = delete;
-
- private:
-  bool prev_;
-};
 
 // --------------------------------------------------------------- IR
 
@@ -253,23 +226,5 @@ CompiledGraph compile(const Graph& g, const CompileOptions& opt = {});
 /// unfused reference the equivalence fuzzer compares against. Matches
 /// the nn::Module eval-mode forward bitwise.
 Tensor run_reference(const Graph& g, const Tensor& input);
-
-// -------------------------------------------------------- utilities
-
-/// Closed-form batch-norm fold into conv weights:
-///   w'[co,...] = w[co,...] * gamma[co] / sqrt(var[co] + eps)
-///   b'[co]     = (b[co] - mean[co]) * gamma[co] / sqrt(var[co] + eps)
-///                + beta[co]
-/// `deconv_layout` selects the (Cin,Cout,K,K) channel axis. Changes
-/// rounding versus the epilogue form, so the executor does not use it;
-/// provided (and tested to tolerance) for the low-precision backends.
-struct FoldedConv {
-  Tensor weight;
-  Tensor bias;
-};
-FoldedConv fold_batchnorm(const Tensor& weight, const Tensor& bias,
-                          const Tensor& gamma, const Tensor& beta,
-                          const Tensor& mean, const Tensor& var, real_t eps,
-                          bool deconv_layout = false);
 
 }  // namespace ccovid::graph

@@ -3,9 +3,8 @@
 // messaging (cooperative send/recv, FIFO per (source, tag) pair), per
 // the message-passing model the HPC guides describe.
 //
-// Moved here from dist/channel.h so the primitive sits under the
-// transport abstraction (net/transport.h) next to the socket backend;
-// dist/channel.h aliases these names for the in-process World.
+// It sits under the transport abstraction (net/transport.h) next to
+// the socket backend; the in-process World (dist/comm.h) uses it too.
 //
 // Internally every message travels as a Packet carrying a per-channel
 // sequence number and an optional payload checksum; the plain

@@ -159,13 +159,9 @@ graph::Graph DDnet::build_graph(index_t n, index_t h, index_t w) const {
 
 std::shared_ptr<graph::CompiledGraph> DDnet::compiled_for(
     index_t h, index_t w, core::Precision prec) const {
-  // h/w are CT image extents (< 2^30), so the precision and fusion
-  // tags fit in the top bits of the cache key. Fusion matters for the
-  // key because low-precision results — unlike fp32, which is bitwise
-  // fusion-invariant — round at different step boundaries per mode.
-  const bool fuse = graph::fusion_enabled();
+  // h/w are CT image extents (< 2^30), so the precision tag fits in
+  // the top bits of the cache key.
   const std::uint64_t key = (std::uint64_t(int(prec)) << 61) |
-                            (std::uint64_t(fuse) << 60) |
                             (std::uint64_t(std::uint32_t(h)) << 30) |
                             std::uint64_t(std::uint32_t(w));
   std::lock_guard<std::mutex> lock(graph_mu_);
@@ -173,7 +169,6 @@ std::shared_ptr<graph::CompiledGraph> DDnet::compiled_for(
   if (it != graph_cache_.end()) return it->second;
   graph::Graph g = build_graph(1, h, w);
   graph::CompileOptions opt;
-  opt.fuse = fuse;
   opt.precision = prec;
   if (prec == core::Precision::kInt8) {
     // Seeded synthetic calibration batch: CT slices enter enhance()
@@ -215,14 +210,12 @@ Tensor DDnet::enhance(const Tensor& image) const {
   // set_active_precision (serve --precision toggles) can never mix
   // formats within a single enhance() call.
   const core::Precision prec = core::active_precision();
-  // Fast path: compiled fusion graph (eval-mode only — training mode
-  // and batch-stats-always both change the batch-norm semantics the
-  // capture froze). At fp32 this is bitwise identical to the module
-  // walk below; fp16/bf16/int8 swap the storage format of weights and
-  // intermediates (DESIGN.md §13) and only exist on the graph path, so
-  // they route here regardless of the fusion flag (compile honors it).
-  if (!training() && !batch_stats_always_ &&
-      (graph::fusion_enabled() || prec != core::Precision::kF32)) {
+  // Compiled fusion graph (eval-mode only — training mode and
+  // batch-stats-always both change the batch-norm semantics the capture
+  // froze). At fp32 this is bitwise identical to the module walk below;
+  // fp16/bf16/int8 swap the storage format of weights and intermediates
+  // (DESIGN.md §13) and only exist on the graph path.
+  if (!training() && !batch_stats_always_) {
     auto cg = compiled_for(image.dim(0), image.dim(1), prec);
     Tensor in = image.clone().reshape({1, 1, image.dim(0), image.dim(1)});
     return cg->run(in).reshape({image.dim(0), image.dim(1)});

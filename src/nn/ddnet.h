@@ -62,8 +62,8 @@ class DDnet : public Module {
   Var forward(const Var& x) const;
 
   /// Convenience for single 2-D images: (H, W) -> (H, W), no gradients.
-  /// In eval mode with frozen batch statistics and graph::fusion_enabled()
-  /// this dispatches through a cached compiled fusion graph (bitwise
+  /// In eval mode with frozen batch statistics this dispatches through a
+  /// cached compiled fusion graph (bitwise
   /// identical to forward(); see graph/graph.h). core::active_precision()
   /// is sampled once per call: fp16/bf16/int8 run the low-precision
   /// storage pipeline of DESIGN.md §13 on the graph path (int8 scales

@@ -138,7 +138,7 @@ Tensor UNetDenoiser::enhance(const Tensor& image) const {
   if (image.rank() != 2) {
     throw std::invalid_argument("UNetDenoiser::enhance: expected (H, W)");
   }
-  if (!training() && !batch_stats_always_ && graph::fusion_enabled()) {
+  if (!training() && !batch_stats_always_) {
     auto cg = compiled_for(image.dim(0), image.dim(1));
     Tensor in = image.clone().reshape({1, 1, image.dim(0), image.dim(1)});
     return cg->run(in).reshape({image.dim(0), image.dim(1)});

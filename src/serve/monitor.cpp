@@ -24,16 +24,11 @@ std::uint64_t CachedResult::compute_digest() const {
 std::uint64_t ResultCache::scan_key(const Tensor& volume_hu,
                                     bool use_enhancement, double threshold,
                                     core::Precision precision,
-                                    bool graph_fusion, std::uint64_t epoch) {
+                                    std::uint64_t epoch) {
   // Volume bytes first (the bulk), then every serving knob the output
-  // bits depend on. fp32 results ARE fusion-invariant (the PR 7 bitwise
-  // contract) but low-precision ones are not (DESIGN.md §13), so the
-  // fusion flag is always folded in — a key that is conservatively
-  // narrow costs a few extra misses, never a wrong hit.
+  // bits depend on.
   std::uint64_t h = fnv1a64(volume_hu);
-  const std::uint8_t flags =
-      static_cast<std::uint8_t>((use_enhancement ? 1 : 0) |
-                                (graph_fusion ? 2 : 0));
+  const std::uint8_t flags = use_enhancement ? 1 : 0;
   h = fnv1a64(&flags, sizeof(flags), h);
   h = fnv1a64(&threshold, sizeof(threshold), h);
   const std::int32_t prec = static_cast<std::int32_t>(precision);

@@ -5,8 +5,7 @@
 //
 //   submit(patient, scan) ──► ScanKey = FNV(volume bytes)
 //                                       ⊕ enhancement ⊕ threshold bits
-//                                       ⊕ precision ⊕ graph fusion
-//                                       ⊕ cache epoch
+//                                       ⊕ precision ⊕ cache epoch
 //                               │
 //                   ┌───────────┴───────────┐
 //                   ▼ hit (self-digest ok)  ▼ miss / poisoned / evicted
@@ -23,7 +22,7 @@
 //
 //   - a hit returns the EXACT bits a recomputation would produce: the
 //     key covers every input the pipeline result depends on (volume
-//     bytes, workflow shape, storage precision, fusion flag), and keys
+//     bytes, workflow shape, storage precision), and keys
 //     carry the cache epoch so entries computed under a retired
 //     configuration can never be read back;
 //   - entries self-verify: each stores an FNV digest of its payload,
@@ -116,7 +115,7 @@ class ResultCache {
   /// invalidation retires all outstanding keys at once.
   static std::uint64_t scan_key(const Tensor& volume_hu,
                                 bool use_enhancement, double threshold,
-                                core::Precision precision, bool graph_fusion,
+                                core::Precision precision,
                                 std::uint64_t epoch);
 
   /// Current epoch; sample it ONCE per request, before lookup, and pass

@@ -7,7 +7,6 @@
 #include "core/finite.h"
 #include "core/precision.h"
 #include "fault/failpoint.h"
-#include "graph/graph.h"
 #include "trace/export.h"
 #include "trace/trace.h"
 
@@ -210,11 +209,10 @@ void InferenceServer::execute_batch(std::vector<RequestPtr> batch) {
   if (monitor_) {
     epoch = monitor_->cache().epoch();
     const core::Precision precision = core::active_precision();
-    const bool fusion = graph::fusion_enabled();
     for (std::size_t i = 0; i < live.size(); ++i) {
       keys[i] = ResultCache::scan_key(
           live[i]->volume_hu, live[i]->options.use_enhancement,
-          live[i]->options.threshold, precision, fusion, epoch);
+          live[i]->options.threshold, precision, epoch);
       cached[i] = monitor_->cache().lookup(keys[i]);
     }
   }

@@ -252,16 +252,22 @@ TEST(Parallel, ThreadCountOverride) {
 
 // ------------------------------------------------------------- counters
 TEST(Counters, AccumulateAndReset) {
-  reset_tls_counters();
-  tls_counters().global_loads += 10;
-  tls_counters().flops += 5;
-  EXPECT_EQ(tls_counters().global_loads, 10u);
+  OpCounters total;
+  total.global_loads = 10;
+  total.flops = 5;
   OpCounters other;
+  other.global_loads = 1;
   other.global_stores = 3;
-  tls_counters() += other;
-  EXPECT_EQ(tls_counters().global_stores, 3u);
-  reset_tls_counters();
-  EXPECT_EQ(tls_counters().global_loads, 0u);
+  other.flops = 2;
+  total += other;
+  EXPECT_EQ(total.global_loads, 11u);
+  EXPECT_EQ(total.global_stores, 3u);
+  EXPECT_EQ(total.flops, 7u);
+  EXPECT_EQ((total += other).global_stores, 6u);  // returns *this
+  total.reset();
+  EXPECT_EQ(total.global_loads, 0u);
+  EXPECT_EQ(total.global_stores, 0u);
+  EXPECT_EQ(total.flops, 0u);
 }
 
 // ---------------------------------------------------------------- timer

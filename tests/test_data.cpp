@@ -255,6 +255,14 @@ TEST(Datasets, RemoveCircularFovVolumeCleansEverySlice) {
   }
 }
 
+TEST(Datasets, RemoveCircularFovVolumeRejectsNonSquareSlices) {
+  // Copying H*H floats per slice would overrun H > W and misread H < W.
+  EXPECT_THROW(remove_circular_fov_volume(Tensor::full({4, 15, 13}, 0.0f)),
+               std::invalid_argument);
+  EXPECT_THROW(remove_circular_fov_volume(Tensor::full({4, 12, 16}, 0.0f)),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------- augmentation
 TEST(Augment, NoiseAppliedWithConfiguredProbability) {
   Rng rng(19);

@@ -1,24 +1,28 @@
 // Message-passing runtime and distributed data-parallel trainer:
-// point-to-point channels, barrier, ring all-reduce correctness across
-// world sizes and payload lengths, DDP replica consistency and its
-// equivalence to large-batch single-worker training.
+// point-to-point channels, barrier, broadcast, bitwise all-reduce
+// correctness of every deterministic collective across world sizes and
+// payload lengths, DDP replica consistency and its equivalence to
+// large-batch single-worker training.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <thread>
 
 #include "autograd/losses.h"
-#include "dist/channel.h"
+#include "core/random.h"
+#include "dist/collective.h"
 #include "dist/comm.h"
 #include "dist/ddp.h"
 #include "dist/interconnect.h"
+#include "net/channel.h"
 #include "nn/ddnet.h"
 
 namespace ccovid::dist {
 namespace {
 
 TEST(Channel, FifoOrder) {
-  Channel ch;
+  net::Channel ch;
   ch.send({1.0f});
   ch.send({2.0f});
   EXPECT_FLOAT_EQ(ch.recv()[0], 1.0f);
@@ -26,7 +30,7 @@ TEST(Channel, FifoOrder) {
 }
 
 TEST(Channel, BlocksUntilMessage) {
-  Channel ch;
+  net::Channel ch;
   std::thread producer([&] { ch.send({42.0f}); });
   const Message m = ch.recv();
   producer.join();
@@ -63,30 +67,46 @@ struct AllReduceCase {
   index_t length;
 };
 
-class AllReduceSweep : public ::testing::TestWithParam<AllReduceCase> {};
+constexpr Collective kWireCollectives[] = {
+    Collective::kRing, Collective::kTree, Collective::kBcastHalving};
 
-TEST_P(AllReduceSweep, SumsAcrossRanks) {
-  const auto c = GetParam();
-  World w(c.world);
-  std::vector<std::vector<real_t>> buffers(c.world);
-  // buffer[r][i] = r + i; expected sum over r = W*(W-1)/2 + W*i.
-  for (int r = 0; r < c.world; ++r) {
-    buffers[r].resize(static_cast<std::size_t>(c.length));
-    for (index_t i = 0; i < c.length; ++i) {
-      buffers[r][i] = static_cast<real_t>(r + i);
-    }
-  }
+/// Runs dist::all_reduce on one thread per rank.
+void all_reduce_on_threads(World& w, std::vector<std::vector<real_t>>& bufs,
+                           Collective alg) {
   std::vector<std::thread> threads;
-  for (int r = 0; r < c.world; ++r) {
-    threads.emplace_back(
-        [&w, &buffers, r] { w.all_reduce_sum(r, buffers[r]); });
+  for (int r = 0; r < w.size(); ++r) {
+    threads.emplace_back([&w, &bufs, r, alg] {
+      all_reduce(w, r, bufs[static_cast<std::size_t>(r)], alg);
+    });
   }
   for (auto& t : threads) t.join();
-  const double base = c.world * (c.world - 1) / 2.0;
-  for (int r = 0; r < c.world; ++r) {
-    for (index_t i = 0; i < c.length; ++i) {
-      EXPECT_NEAR(buffers[r][i], base + c.world * i, 1e-3)
-          << "rank " << r << " index " << i;
+}
+
+class AllReduceSweep : public ::testing::TestWithParam<AllReduceCase> {};
+
+TEST_P(AllReduceSweep, EveryCollectiveEqualsTheRankOrderFold) {
+  const auto c = GetParam();
+  const auto n = static_cast<std::size_t>(c.length);
+  std::vector<std::vector<real_t>> contrib(static_cast<std::size_t>(c.world));
+  Rng rng(static_cast<std::uint64_t>(100 * c.world + c.length));
+  for (auto& v : contrib) {
+    v.resize(n);
+    for (real_t& x : v) x = static_cast<real_t>(rng.uniform(-1.0, 1.0));
+  }
+  // The canonical fold ((c0 + c1) + c2) + ... every collective promises.
+  std::vector<real_t> want = contrib[0];
+  for (std::size_t r = 1; r < contrib.size(); ++r) {
+    for (std::size_t i = 0; i < n; ++i) want[i] += contrib[r][i];
+  }
+  for (const Collective alg : kWireCollectives) {
+    World w(c.world);
+    std::vector<std::vector<real_t>> bufs = contrib;
+    all_reduce_on_threads(w, bufs, alg);
+    for (int r = 0; r < c.world; ++r) {
+      EXPECT_EQ(std::memcmp(bufs[static_cast<std::size_t>(r)].data(),
+                            want.data(), n * sizeof(real_t)),
+                0)
+          << collective_name(alg) << " rank " << r << " differs bitwise";
     }
   }
 }
@@ -94,21 +114,25 @@ TEST_P(AllReduceSweep, SumsAcrossRanks) {
 INSTANTIATE_TEST_SUITE_P(
     Sizes, AllReduceSweep,
     ::testing::Values(AllReduceCase{1, 16}, AllReduceCase{2, 10},
-                      AllReduceCase{3, 7},   // length not divisible
+                      AllReduceCase{3, 7},   // odd world and length
                       AllReduceCase{4, 64}, AllReduceCase{8, 33},
-                      AllReduceCase{5, 4},   // world > chunks? (len < n ok)
+                      AllReduceCase{5, 4},   // length < world
                       AllReduceCase{2, 1}));
 
 TEST(World, AllReduceTracksBytes) {
-  World w(2);
-  std::vector<real_t> a(100, 1.0f), b(100, 2.0f);
-  std::thread t0([&] { w.all_reduce_sum(0, a); });
-  std::thread t1([&] { w.all_reduce_sum(1, b); });
-  t0.join();
-  t1.join();
-  // Ring: 2*(world-1) = 2 sends of ~half the buffer each = ~100 floats.
-  EXPECT_NEAR(static_cast<double>(w.bytes_sent(0)), 100 * sizeof(real_t),
-              8 * sizeof(real_t));
+  for (const Collective alg : kWireCollectives) {
+    World w(2);
+    std::vector<std::vector<real_t>> bufs = {std::vector<real_t>(100, 1.0f),
+                                             std::vector<real_t>(100, 2.0f)};
+    all_reduce_on_threads(w, bufs, alg);
+    // World 2: each rank ships one full 100-float message under every
+    // algorithm (ring hop, tree gather/broadcast, halving swap).
+    for (int r = 0; r < 2; ++r) {
+      EXPECT_EQ(w.bytes_sent(r), 100 * sizeof(real_t))
+          << collective_name(alg) << " rank " << r;
+    }
+    EXPECT_FLOAT_EQ(bufs[0][99], 3.0f);
+  }
 }
 
 TEST(World, BroadcastFromEveryRoot) {
@@ -130,43 +154,6 @@ TEST(World, BroadcastFromEveryRoot) {
         EXPECT_FLOAT_EQ(bufs[r][i],
                         static_cast<real_t>(10 * root + static_cast<int>(i)));
       }
-    }
-  }
-}
-
-TEST(World, ReduceSumToRoot) {
-  World w(4);
-  std::vector<std::vector<real_t>> bufs(4);
-  for (int r = 0; r < 4; ++r) bufs[r] = {real_t(r), real_t(2 * r)};
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 4; ++r) {
-    threads.emplace_back([&w, &bufs, r] { w.reduce_sum(r, 2, bufs[r]); });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_FLOAT_EQ(bufs[2][0], 0 + 1 + 2 + 3);
-  EXPECT_FLOAT_EQ(bufs[2][1], 2 * (0 + 1 + 2 + 3));
-  // Non-roots untouched.
-  EXPECT_FLOAT_EQ(bufs[0][0], 0.0f);
-  EXPECT_FLOAT_EQ(bufs[3][1], 6.0f);
-}
-
-TEST(World, AllGatherOrdersChunksByRank) {
-  const int n = 4;
-  World w(n);
-  std::vector<std::vector<real_t>> outs(n);
-  std::vector<std::thread> threads;
-  for (int r = 0; r < n; ++r) {
-    threads.emplace_back([&w, &outs, r] {
-      const std::vector<real_t> mine = {real_t(r), real_t(r) + 0.5f};
-      w.all_gather(r, mine, outs[r]);
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int r = 0; r < n; ++r) {
-    ASSERT_EQ(outs[r].size(), 8u);
-    for (int c = 0; c < n; ++c) {
-      EXPECT_FLOAT_EQ(outs[r][2 * c], real_t(c)) << "rank " << r;
-      EXPECT_FLOAT_EQ(outs[r][2 * c + 1], real_t(c) + 0.5f);
     }
   }
 }

@@ -33,7 +33,6 @@
 #include "ct/siddon.h"
 #include "data/phantom.h"
 #include "dist/ddp.h"
-#include "graph/graph.h"
 #include "nn/ddnet.h"
 #include "nn/layers.h"
 #include "pipeline/framework.h"
@@ -88,39 +87,33 @@ void check_golden(const std::string& name, std::uint64_t digest) {
       << "; otherwise this is a regression.";
 }
 
-// Computes `body()`'s digest under graph fusion on AND off, at kernel
-// widths 1, 2 and 8 — each combination once with tracing off and once
-// fully enabled (level 2, which also records task-engine scheduling
-// events) — asserts all twelve agree bitwise, and returns the shared
-// value for the golden comparison. Width independence is the engine's
-// partition contract; fusion independence is the graph compiler's
-// bitwise contract (graph/graph.h: the fused executor replays the
-// op-by-op interpreter exactly); trace independence is the tracing
-// subsystem's only-reads-clocks contract (spans must never perturb
-// numerics).
+// Computes `body()`'s digest at kernel widths 1, 2 and 8 — each width
+// once with tracing off and once fully enabled (level 2, which also
+// records task-engine scheduling events) — asserts all six agree
+// bitwise, and returns the shared value for the golden comparison.
+// Width independence is the engine's partition contract; trace
+// independence is the tracing subsystem's only-reads-clocks contract
+// (spans must never perturb numerics). That the compiled graph replays
+// the module walk bit for bit is asserted in tests/test_graph.cpp.
 template <typename Body>
 std::uint64_t digest_across_widths(Body&& body) {
   std::uint64_t at1 = 0;
   bool have_reference = false;
-  for (const bool fusion : {true, false}) {
-    graph::FusionGuard guard(fusion);
-    for (const int width : {1, 2, 8}) {
-      ParallelPin pin(width);
-      for (const int trace_level : {0, 2}) {
-        trace::set_level(trace_level);
-        const std::uint64_t h = body();
-        trace::set_level(0);
-        if (!have_reference) {
-          at1 = h;
-          have_reference = true;
-        } else {
-          EXPECT_EQ(hex64(h), hex64(at1))
-              << "digest moved at fusion " << (fusion ? "on" : "off")
-              << ", width " << width << ", trace level " << trace_level
-              << ": either the fused graph diverged from the op-by-op "
-                 "interpreter, the chunk partition leaked thread count "
-                 "into the numerics, or tracing perturbed a kernel";
-        }
+  for (const int width : {1, 2, 8}) {
+    ParallelPin pin(width);
+    for (const int trace_level : {0, 2}) {
+      trace::set_level(trace_level);
+      const std::uint64_t h = body();
+      trace::set_level(0);
+      if (!have_reference) {
+        at1 = h;
+        have_reference = true;
+      } else {
+        EXPECT_EQ(hex64(h), hex64(at1))
+            << "digest moved at width " << width << ", trace level "
+            << trace_level
+            << ": either the chunk partition leaked thread count into "
+               "the numerics, or tracing perturbed a kernel";
       }
     }
   }
@@ -144,39 +137,6 @@ TEST(Golden, DdnetForward) {
 // compiled-graph path: the low-precision formats have no fp32 history
 // to match, so these digests ARE their numeric contract — across task
 // widths, trace levels and (via the CI backend sweep) SIMD backends.
-// Unlike fp32, a low-precision result is NOT fusion-invariant (values
-// round to the storage format at different step boundaries per mode),
-// so fusion is pinned on — the mode the serve path runs — and width /
-// trace invariance is asserted on its own.
-std::uint64_t lowp_digest_across_widths(core::Precision prec,
-                                        const nn::DDnet& net,
-                                        const Tensor& x) {
-  const core::PrecisionGuard pguard(prec);
-  graph::FusionGuard fguard(true);
-  std::uint64_t at1 = 0;
-  bool have_reference = false;
-  for (const int width : {1, 2, 8}) {
-    ParallelPin pin(width);
-    for (const int trace_level : {0, 2}) {
-      trace::set_level(trace_level);
-      const std::uint64_t h = fnv1a64(net.enhance(x));
-      trace::set_level(0);
-      if (!have_reference) {
-        at1 = h;
-        have_reference = true;
-      } else {
-        EXPECT_EQ(hex64(h), hex64(at1))
-            << core::precision_name(prec) << " digest moved at width "
-            << width << ", trace level " << trace_level
-            << ": the low-precision executor leaked thread count or "
-               "tracing into the numerics";
-      }
-    }
-  }
-  trace::clear();
-  return at1;
-}
-
 TEST(Golden, DdnetForwardLowPrecision) {
   nn::seed_init_rng(3);
   nn::DDnet net(nn::DDnetConfig::tiny());
@@ -187,7 +147,9 @@ TEST(Golden, DdnetForwardLowPrecision) {
   for (const core::Precision prec :
        {core::Precision::kF16, core::Precision::kBf16,
         core::Precision::kInt8}) {
-    const std::uint64_t h = lowp_digest_across_widths(prec, net, x);
+    const core::PrecisionGuard pguard(prec);
+    const std::uint64_t h =
+        digest_across_widths([&] { return fnv1a64(net.enhance(x)); });
     check_golden(std::string("ddnet_forward_tiny_s3_in16_") +
                      core::precision_name(prec),
                  h);

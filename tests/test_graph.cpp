@@ -1,12 +1,12 @@
 // Graph IR + fusion suite (`ctest -L fast`): IR construction and shape
-// inference, topological-order determinism, the closed-form batch-norm
-// fold, buffer-reuse planner invariants, steady-state allocation
-// flatness, and the fusion-equivalence battery — fused output must be
-// BITWISE equal to the unfused compiled schedule, the op-by-op
-// reference interpreter, and the nn::Module eval forward, at every
-// compiled SIMD backend and task-engine width. The randomized fuzzer
-// at the bottom stresses the fusion pass with DAGs containing
-// non-fusible interleavings and multi-consumer nodes.
+// inference, topological-order determinism, buffer-reuse planner
+// invariants, steady-state allocation flatness, and the
+// fusion-equivalence battery — fused output must be BITWISE equal to
+// the unfused compiled schedule, the op-by-op reference interpreter,
+// and the nn::Module eval forward, at every compiled SIMD backend and
+// task-engine width. The randomized fuzzer at the bottom stresses the
+// fusion pass with DAGs containing non-fusible interleavings and
+// multi-consumer nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "autograd/variable.h"
 #include "core/alloc_cache.h"
 #include "core/digest.h"
 #include "core/parallel.h"
@@ -23,18 +24,21 @@
 #include "nn/ddnet.h"
 #include "nn/layers.h"
 #include "nn/unet.h"
-#include "ops/batchnorm.h"
-#include "ops/conv2d.h"
-#include "ops/deconv2d.h"
 
 namespace ccovid {
 namespace {
 
 using graph::CompileOptions;
-using graph::FusionGuard;
 using graph::Graph;
 using graph::OpKind;
 using graph::ValueShape;
+
+/// One step per node: the unfused half of the equivalence battery.
+CompileOptions unfused_options() {
+  CompileOptions opt;
+  opt.fuse = false;
+  return opt;
+}
 
 Tensor uniform(Rng& rng, Shape shape, real_t lo = -1.0f, real_t hi = 1.0f) {
   Tensor t(std::move(shape));
@@ -124,56 +128,6 @@ TEST(GraphIR, ScheduleIsDeterministicAndTopological) {
   for (int i = 0; i < int(order.size()); ++i) EXPECT_EQ(order[size_t(i)], i);
 }
 
-// ------------------------------------------------ closed-form fold
-
-TEST(GraphFold, BatchnormFoldMatchesComposedOps) {
-  Rng rng(4);
-  const Tensor x = uniform(rng, {2, 3, 9, 9});
-  const Tensor w = uniform(rng, {5, 3, 3, 3});
-  const Tensor b = uniform(rng, {5});
-  const Tensor gamma = uniform(rng, {5}, 0.5f, 1.5f);
-  const Tensor beta = uniform(rng, {5});
-  const Tensor mean = uniform(rng, {5});
-  const Tensor var = uniform(rng, {5}, 0.5f, 2.0f);
-  const real_t eps = 1e-5f;
-
-  const Tensor composed = ops::batch_norm_infer(
-      ops::conv2d(x, w, b, ops::Conv2dParams{1, 1}), gamma, beta, mean, var,
-      eps);
-  const graph::FoldedConv f =
-      graph::fold_batchnorm(w, b, gamma, beta, mean, var, eps);
-  const Tensor folded =
-      ops::conv2d(x, f.weight, f.bias, ops::Conv2dParams{1, 1});
-
-  ASSERT_EQ(folded.shape(), composed.shape());
-  for (index_t i = 0; i < folded.numel(); ++i) {
-    EXPECT_NEAR(folded.data()[i], composed.data()[i], 1e-4f) << "at " << i;
-  }
-}
-
-TEST(GraphFold, BatchnormFoldDeconvLayout) {
-  Rng rng(5);
-  const Tensor x = uniform(rng, {1, 3, 8, 8});
-  const Tensor w = uniform(rng, {3, 4, 5, 5});  // (Cin, Cout, K, K)
-  const Tensor gamma = uniform(rng, {4}, 0.5f, 1.5f);
-  const Tensor beta = uniform(rng, {4});
-  const Tensor mean = uniform(rng, {4});
-  const Tensor var = uniform(rng, {4}, 0.5f, 2.0f);
-
-  const Tensor composed = ops::batch_norm_infer(
-      ops::deconv2d(x, w, Tensor(), ops::Deconv2dParams{1, 2}), gamma, beta,
-      mean, var, 1e-5f);
-  const graph::FoldedConv f = graph::fold_batchnorm(
-      w, Tensor(), gamma, beta, mean, var, 1e-5f, /*deconv_layout=*/true);
-  const Tensor folded =
-      ops::deconv2d(x, f.weight, f.bias, ops::Deconv2dParams{1, 2});
-
-  ASSERT_EQ(folded.shape(), composed.shape());
-  for (index_t i = 0; i < folded.numel(); ++i) {
-    EXPECT_NEAR(folded.data()[i], composed.data()[i], 1e-4f) << "at " << i;
-  }
-}
-
 // -------------------------------------------------- planner invariants
 
 void expect_no_live_overlap_shares_slab(const graph::CompiledGraph& cg) {
@@ -199,8 +153,7 @@ TEST(GraphPlanner, NoTwoLiveValuesShareASlab) {
   const Graph g = net.build_graph(1, 16, 16);
 
   const graph::CompiledGraph fused = graph::compile(g);
-  const graph::CompiledGraph unfused =
-      graph::compile(g, CompileOptions{false});
+  const graph::CompiledGraph unfused = graph::compile(g, unfused_options());
   expect_no_live_overlap_shares_slab(fused);
   expect_no_live_overlap_shares_slab(unfused);
 
@@ -225,72 +178,27 @@ std::uint64_t run_digest(const graph::CompiledGraph& cg, const Tensor& in) {
   return fnv1a64(cg.run(in));
 }
 
-TEST(GraphFusion, DdnetFusedUnfusedReferenceAndModuleAgreeBitwise) {
-  nn::seed_init_rng(3);
-  nn::DDnet net(nn::DDnetConfig::tiny());
-  net.set_training(false);
-
-  Rng rng(5);
-  Tensor img({16, 16});
-  rng.fill_uniform(img, -1.0f, 1.0f);
-  const Tensor in = img.clone().reshape({1, 1, 16, 16});
-
-  const Graph g = net.build_graph(1, 16, 16);
-  const graph::CompiledGraph fused = graph::compile(g);
-  const graph::CompiledGraph unfused =
-      graph::compile(g, CompileOptions{false});
-
-  std::uint64_t module_digest;
-  {
-    FusionGuard off(false);  // force the op-by-op module walk
-    module_digest = fnv1a64(net.enhance(img));
-  }
-  std::uint64_t enhance_fused_digest;
-  {
-    FusionGuard on(true);  // force the compiled-graph fast path
-    enhance_fused_digest = fnv1a64(net.enhance(img));
-  }
-  const std::uint64_t reference_digest = fnv1a64(graph::run_reference(g, in));
-
-  EXPECT_EQ(run_digest(unfused, in), module_digest);
-  EXPECT_EQ(reference_digest, module_digest);
-  EXPECT_EQ(run_digest(fused, in), module_digest);
-  EXPECT_EQ(enhance_fused_digest, module_digest);
+/// The module walk: eval-mode forward() with gradients off, the path
+/// training and instance-norm mode still run.
+template <typename Net>
+std::uint64_t module_digest(const Net& net, const Tensor& in) {
+  autograd::NoGradGuard no_grad;
+  return fnv1a64(net.forward(autograd::Var(in.clone())).value());
 }
 
-TEST(GraphFusion, UnetFusedMatchesModuleBitwise) {
-  nn::seed_init_rng(7);
-  nn::UNetDenoiser net{nn::UNetConfig{}};
-  net.set_training(false);
-
-  Rng rng(9);
-  Tensor img({12, 12});
+/// Every executor of one network agrees bitwise at every backend and
+/// width: fused graph == unfused graph == run_reference == module
+/// forward() == enhance(), and the digest is the same in every cell.
+template <typename Net>
+void expect_executors_agree(const Net& net, index_t hw, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor img({hw, hw});
   rng.fill_uniform(img, -1.0f, 1.0f);
+  const Tensor in = img.clone().reshape({1, 1, hw, hw});
 
-  std::uint64_t module_digest, fused_digest;
-  {
-    FusionGuard off(false);
-    module_digest = fnv1a64(net.enhance(img));
-  }
-  {
-    FusionGuard on(true);
-    fused_digest = fnv1a64(net.enhance(img));
-  }
-  EXPECT_EQ(fused_digest, module_digest);
-}
-
-TEST(GraphFusion, DdnetDigestStableAcrossBackendsAndWidths) {
-  nn::seed_init_rng(3);
-  nn::DDnet net(nn::DDnetConfig::tiny());
-  net.set_training(false);
-
-  Rng rng(5);
-  Tensor in({1, 1, 16, 16});
-  rng.fill_uniform(in, -1.0f, 1.0f);
-  const Graph g = net.build_graph(1, 16, 16);
+  const Graph g = net.build_graph(1, hw, hw);
   const graph::CompiledGraph fused = graph::compile(g);
-  const graph::CompiledGraph unfused =
-      graph::compile(g, CompileOptions{false});
+  const graph::CompiledGraph unfused = graph::compile(g, unfused_options());
 
   const simd::Backend prev = simd::active_backend();
   std::vector<std::uint64_t> digests;
@@ -300,15 +208,36 @@ TEST(GraphFusion, DdnetDigestStableAcrossBackendsAndWidths) {
     simd::set_backend(b);
     for (int width : {1, 2, 8}) {
       ParallelPin pin(width);
-      digests.push_back(run_digest(fused, in));
-      EXPECT_EQ(digests.back(), run_digest(unfused, in))
-          << "fused != unfused at backend " << simd::backend_name(b)
-          << " width " << width;
+      const std::uint64_t module = module_digest(net, in);
+      const std::string at = std::string(" at backend ") +
+                             simd::backend_name(b) + " width " +
+                             std::to_string(width);
+      EXPECT_EQ(fnv1a64(graph::run_reference(g, in)), module)
+          << "reference != module" << at;
+      EXPECT_EQ(run_digest(unfused, in), module) << "unfused != module" << at;
+      EXPECT_EQ(run_digest(fused, in), module) << "fused != module" << at;
+      EXPECT_EQ(fnv1a64(net.enhance(img)), module)
+          << "enhance() != module" << at;
+      digests.push_back(module);
     }
   }
   simd::set_backend(prev);
   ASSERT_FALSE(digests.empty());
   for (std::uint64_t d : digests) EXPECT_EQ(d, digests.front());
+}
+
+TEST(GraphFusion, DdnetExecutorsAgreeAcrossBackendsAndWidths) {
+  nn::seed_init_rng(3);
+  nn::DDnet net(nn::DDnetConfig::tiny());
+  net.set_training(false);
+  expect_executors_agree(net, 16, 5);
+}
+
+TEST(GraphFusion, UnetExecutorsAgreeAcrossBackendsAndWidths) {
+  nn::seed_init_rng(7);
+  nn::UNetDenoiser net{nn::UNetConfig{}};
+  net.set_training(false);
+  expect_executors_agree(net, 12, 9);
 }
 
 // -------------------------------------------------- allocation flatness
@@ -367,22 +296,6 @@ TEST(GraphAlloc, BiaslessConvWithFoldedBnHoistsTheBiasConstant) {
   const std::uint64_t fresh =
       fresh_allocs_steady_state(3, 8, [&] { Tensor out = cg.run(x); });
   EXPECT_EQ(fresh, 0u);
-}
-
-// ------------------------------------------------------- fusion flag
-
-TEST(GraphFlag, FusionGuardRestoresPreviousState) {
-  const bool initial = graph::fusion_enabled();
-  {
-    FusionGuard off(false);
-    EXPECT_FALSE(graph::fusion_enabled());
-    {
-      FusionGuard on(true);
-      EXPECT_TRUE(graph::fusion_enabled());
-    }
-    EXPECT_FALSE(graph::fusion_enabled());
-  }
-  EXPECT_EQ(graph::fusion_enabled(), initial);
 }
 
 // ------------------------------------------------------------ fuzzer
@@ -537,7 +450,7 @@ TEST(GraphFuzz, RandomDagsFuseBitwiseEqualAcrossBackendsAndWidths) {
 
     const graph::CompiledGraph fused = graph::compile(fz.g);
     const graph::CompiledGraph unfused =
-        graph::compile(fz.g, CompileOptions{false});
+        graph::compile(fz.g, unfused_options());
     expect_no_live_overlap_shares_slab(fused);
     expect_no_live_overlap_shares_slab(unfused);
 

@@ -49,27 +49,19 @@ TEST(ScanKey, CoversEveryInputTheOutputDependsOn) {
   Tensor v({2, 4, 4});
   for (index_t i = 0; i < v.numel(); ++i) v.data()[i] = real_t(i);
   const auto base = [&] {
-    return ResultCache::scan_key(v, true, 0.5, core::Precision::kF32,
-                                 false, 0);
+    return ResultCache::scan_key(v, true, 0.5, core::Precision::kF32, 0);
   };
   const std::uint64_t k = base();
   EXPECT_EQ(k, base()) << "key must be a pure function of its inputs";
 
   Tensor v2 = v.clone();
   v2.data()[3] += 1.0f;
-  EXPECT_NE(k, ResultCache::scan_key(v2, true, 0.5, core::Precision::kF32,
-                                     false, 0))
+  EXPECT_NE(k, ResultCache::scan_key(v2, true, 0.5, core::Precision::kF32, 0))
       << "a single changed voxel must change the key";
-  EXPECT_NE(k, ResultCache::scan_key(v, false, 0.5, core::Precision::kF32,
-                                     false, 0));
-  EXPECT_NE(k, ResultCache::scan_key(v, true, 0.25, core::Precision::kF32,
-                                     false, 0));
-  EXPECT_NE(k, ResultCache::scan_key(v, true, 0.5, core::Precision::kF16,
-                                     false, 0));
-  EXPECT_NE(k, ResultCache::scan_key(v, true, 0.5, core::Precision::kF32,
-                                     true, 0));
-  EXPECT_NE(k, ResultCache::scan_key(v, true, 0.5, core::Precision::kF32,
-                                     false, 1));
+  EXPECT_NE(k, ResultCache::scan_key(v, false, 0.5, core::Precision::kF32, 0));
+  EXPECT_NE(k, ResultCache::scan_key(v, true, 0.25, core::Precision::kF32, 0));
+  EXPECT_NE(k, ResultCache::scan_key(v, true, 0.5, core::Precision::kF16, 0));
+  EXPECT_NE(k, ResultCache::scan_key(v, true, 0.5, core::Precision::kF32, 1));
 }
 
 // -------------------------------------------------------- result cache
